@@ -7,7 +7,8 @@
 
 module W = Pp_workloads.Workload
 module Registry = Pp_workloads.Registry
-module Interp = Pp_vm.Interp
+module Engine = Pp_vm.Engine
+module Stack_sampler = Pp_vm.Stack_sampler
 module Event = Pp_machine.Event
 module Driver = Pp_instrument.Driver
 module Instrument = Pp_instrument.Instrument
@@ -44,12 +45,10 @@ let exact_fractions w =
 (* Sampled inclusive fractions: a stack sample counts towards every prefix
    of the stack. *)
 let sampled_fractions w ~interval =
-  let vm =
-    Interp.create ~max_instructions:Runs.budget (Runs.program_of w)
-  in
-  Interp.enable_sampling vm ~interval;
-  ignore (Interp.run vm);
-  let samples = Interp.samples vm in
+  let eng = Engine.create ~max_instructions:Runs.budget (Runs.program_of w) in
+  let sampler = Stack_sampler.create (Engine.vm eng) ~interval in
+  ignore (Engine.run eng);
+  let samples = Stack_sampler.samples sampler in
   let total = List.fold_left (fun acc (_, n) -> acc + n) 0 samples in
   let table = Hashtbl.create 64 in
   List.iter

@@ -1,4 +1,6 @@
 module Event = Pp_machine.Event
+module Machine = Pp_machine.Machine
+module Counters = Pp_machine.Counters
 module Cct = Pp_core.Cct
 module Profile = Pp_core.Profile
 module Ball_larus = Pp_core.Ball_larus
@@ -28,6 +30,30 @@ let default_pics = (Event.Dcache_misses, Event.Instructions)
 let sampled_options options =
   let base = Option.value ~default:Instrument.default_options options in
   { base with Instrument.array_threshold = 0 }
+
+(* Periodic counter samples ([ph:"C"] events named ["vm"]: cycles,
+   instructions and both selected PIC totals), taken on block boundaries
+   every [interval] simulated cycles. *)
+let observe_counters vm ~trace ~interval =
+  if interval <= 0 then invalid_arg "Driver.prepare: telemetry_interval <= 0";
+  let machine = Interp.machine vm in
+  let next = ref (Machine.now machine + interval) in
+  let tick () =
+    let now = Machine.now machine in
+    if now >= !next then begin
+      let counters = Machine.counters machine in
+      let pic0, pic1 = Counters.selection counters in
+      Trace.counter trace "vm"
+        [
+          ("cycles", now);
+          ("instructions", Counters.total counters Event.Instructions);
+          (Event.name pic0, Counters.total counters pic0);
+          (Event.name pic1, Counters.total counters pic1);
+        ];
+      next := now + interval
+    end
+  in
+  Interp.observe vm { Interp.no_observer with tick }
 
 let prepare ?options ?pruner ?config ?max_instructions
     ?(pics = default_pics) ?(telemetry = Trace.null) ?telemetry_interval
@@ -77,7 +103,7 @@ let prepare ?options ?pruner ?config ?max_instructions
   in
   (match telemetry_interval with
   | Some interval when Trace.enabled telemetry ->
-      Interp.set_telemetry vm ~trace:telemetry ~interval
+      observe_counters vm ~trace:telemetry ~interval
   | _ -> ());
   Option.iter (Interp.set_sampling vm) sampling;
   {

@@ -32,9 +32,12 @@ type session = {
 
     [telemetry] receives [instrument] / [vm.setup] / [execute] /
     [extract.profile] spans from the session's phases; when
-    [telemetry_interval] is also given, the VM samples its counters into
-    the sink every that many simulated cycles
-    ({!Pp_vm.Interp.set_telemetry}).  The default sink is
+    [telemetry_interval] is also given, an observer
+    ({!Pp_vm.Interp.observe}) samples the VM's counters ([ph:"C"] events
+    named ["vm"]: cycles, instructions and both selected PIC totals) into
+    the sink at the first block end once that many simulated cycles have
+    passed since the previous sample (a non-positive interval raises
+    [Invalid_argument]).  The default sink is
     {!Pp_telemetry.Trace.null}, under which every telemetry call site is
     a dead branch — results and profiles are byte-identical with
     telemetry off.

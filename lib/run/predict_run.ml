@@ -405,8 +405,7 @@ let run ?options ?(config = Config.default) ?inject ?engine ?budget
       pinfos;
     }
   in
-  Interp.set_block_probe session.vm (fun ~proc ~label ~frame ~iregs ->
-      probe o ~proc ~label ~frame ~iregs);
+  Interp.observe session.vm { Interp.no_observer with block = probe o };
   let trapped =
     match Driver.run session with
     | (_ : Interp.result) -> false

@@ -2,7 +2,7 @@
     measurement oracle attached, then check every measured per-path
     counter delta against the static bounds of {!Pp_analysis.Predict}.
 
-    {b The oracle.}  A block probe ({!Pp_vm.Interp.set_block_probe})
+    {b The oracle.}  An observer's [block] event ({!Pp_vm.Interp.observe})
     fires at every instrumented-block entry, before any of the block's
     fetches, carrying the probing frame base.  The oracle keeps a stack
     of {e activations} keyed by frame and attributes the counter delta

@@ -20,7 +20,7 @@
    messages stay bit-identical to {!Interp.run}.
 
    The compiler executes against the interpreter's own state ([Interp.t]
-   images, memory, machine, runtime, hooks), which is what makes the two
+   images, memory, machine, runtime, observer), which is what makes the two
    engines differentially testable: same program, same initial state,
    byte-comparable results. *)
 
@@ -50,33 +50,15 @@ type cproc = {
 
 type t = { st : Interp.t; cprocs : cproc array }
 
-(* One procedure activation: allocate registers and the frame, run the
-   entry block (control then threads itself through tail calls).  Mirrors
-   [Interp.exec_proc] — including not restoring [sp] or the call stack
-   when a trap propagates. *)
-let call_proc st (cp : cproc) ~iargs ~fargs =
-  let p = cp.image.Interp.proc in
-  let iregs = Array.make (max p.Proc.niregs 1) 0 in
-  let fregs = Array.make (max p.Proc.nfregs 1) 0.0 in
-  List.iteri (fun i v -> iregs.(i) <- v) iargs;
-  List.iteri (fun i v -> fregs.(i) <- v) fargs;
-  let saved_sp = Interp.stack_pointer st in
-  let fp = saved_sp - cp.image.Interp.frame_bytes in
-  if fp < Layout.stack_limit then
-    Interp.trap "stack overflow in %s" p.Proc.name;
-  Interp.set_stack_pointer st fp;
-  Interp.push_activation st p.Proc.name;
-  Machine.fp_frame (Interp.machine st) ~nregs:(max p.Proc.nfregs 1);
-  let v = cp.blocks.(p.Proc.entry) { iregs; fregs; fp; trap_ix = 0 } in
-  Interp.set_stack_pointer st saved_sp;
-  Interp.pop_activation st;
-  v
-
-(* [call_proc] with the arguments copied straight from the caller's
-   register arrays via compile-time index vectors — no per-call argument
-   lists.  Reading the argument registers after the [fp_use] stalls is
-   equivalent: stalls never change register contents. *)
-let call_proc_from st (cp : cproc) ~(caller : frame) ~(args_a : int array)
+(* One procedure activation: allocate registers and the frame, copy the
+   arguments straight from the caller's register arrays via compile-time
+   index vectors (no per-call argument lists), run the entry block
+   (control then threads itself through tail calls).  Mirrors
+   [Interp.exec_proc] — including not restoring [sp] or firing [leave]
+   when a trap propagates.  Reading the argument registers after the
+   caller's [fp_use] stalls is equivalent: stalls never change register
+   contents. *)
+let call_proc st (cp : cproc) ~(caller : frame) ~(args_a : int array)
     ~(fas_a : int array) =
   let p = cp.image.Interp.proc in
   let iregs = Array.make (max p.Proc.niregs 1) 0 in
@@ -92,11 +74,12 @@ let call_proc_from st (cp : cproc) ~(caller : frame) ~(args_a : int array)
   if fp < Layout.stack_limit then
     Interp.trap "stack overflow in %s" p.Proc.name;
   Interp.set_stack_pointer st fp;
-  Interp.push_activation st p.Proc.name;
+  let h = Interp.hot st in
+  if h.Interp.hooks then (Interp.observer st).Interp.enter p.Proc.name;
   Machine.fp_frame (Interp.machine st) ~nregs:(max p.Proc.nfregs 1);
   let v = cp.blocks.(p.Proc.entry) { iregs; fregs; fp; trap_ix = 0 } in
   Interp.set_stack_pointer st saved_sp;
-  Interp.pop_activation st;
+  if h.Interp.hooks then (Interp.observer st).Interp.leave ();
   v
 
 let do_call st (cprocs : cproc array) ~callee_idx ~(fr : frame) ~args_a
@@ -105,7 +88,7 @@ let do_call st (cprocs : cproc array) ~callee_idx ~(fr : frame) ~args_a
   for i = 0 to Array.length fas_a - 1 do
     Machine.fp_use_hot mach ~src:(Array.unsafe_get fas_a i)
   done;
-  let v = call_proc_from st cprocs.(callee_idx) ~caller:fr ~args_a ~fas_a in
+  let v = call_proc st cprocs.(callee_idx) ~caller:fr ~args_a ~fas_a in
   match (ret, v) with
   | I.Rnone, _ -> ()
   | I.Rint rd, Vint n -> fr.iregs.(rd) <- n
@@ -774,12 +757,12 @@ let compile_block st (cprocs : cproc array) (cp : cproc) label =
   let mach = Interp.machine st in
   let blocks = cp.blocks in
   let n = Array.length code in
-  (* Per-block fixed costs, pre-resolved: the hook flag is polled as a
-     captured-record field read, and the budget check is one array read
+  (* Per-block fixed costs, pre-resolved: the observer flag is polled as
+     a captured-record field read, and the budget check is one array read
      against the live totals ([Counters.clear] fills in place, so the
-     array stays valid across {!Machine.reset}).  When a hook is active
-     or the budget is exhausted, [Interp.block_epilogue] runs in full —
-     including the trap with the interpreter's exact message. *)
+     array stays valid across {!Machine.reset}).  When an observer is
+     installed or the budget is exhausted, [Interp.block_epilogue] runs
+     in full — including the trap with the interpreter's exact message. *)
   let h = Interp.hot st in
   let tot = Counters.raw_totals (Machine.counters mach) in
   let ix_insts = Counters.ix Pp_machine.Event.Instructions in
@@ -1018,7 +1001,11 @@ let create st =
 
 let run t =
   let st = t.st in
-  let v = call_proc st t.cprocs.(Interp.main_index st) ~iargs:[] ~fargs:[] in
+  let v =
+    call_proc st t.cprocs.(Interp.main_index st)
+      ~caller:{ iregs = [||]; fregs = [||]; fp = 0; trap_ix = 0 }
+      ~args_a:[||] ~fas_a:[||]
+  in
   (match v with
   | Vvoid -> ()
   | Vint _ | Vfloat _ -> Interp.trap "main returned a value");

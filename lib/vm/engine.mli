@@ -4,9 +4,9 @@
     Both engines run over the same {!Interp.t} state and are certified
     byte-identical by the differential suite ([test_compile]), so the
     choice is a pure speed knob; the compiled tier is the default.  An
-    engine wraps the VM it runs — hooks ({!Interp.set_telemetry},
-    {!Interp.set_block_probe}, tracing, sampling) are installed on
-    {!vm} and fire under either engine. *)
+    engine wraps the VM it runs — observers ({!Interp.observe}, e.g. a
+    {!Stack_sampler}) and the {!Sampling} gate are installed on {!vm} and
+    fire under either engine. *)
 
 type kind = Interpreted | Compiled
 

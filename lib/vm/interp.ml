@@ -31,10 +31,25 @@ type image = {
   frame_bytes : int;  (* linkage area + local arrays *)
 }
 
-(* State the compiled tier polls once per block: one flag covering every
-   per-block hook (trace ring, block probe, stack sampling, telemetry).
-   Compiled closures capture this record and skip the hook calls while it
-   is false; every hook setter refreshes it. *)
+type observer = {
+  block :
+    proc:string -> label:Block.label -> frame:int -> iregs:int array -> unit;
+  enter : string -> unit;
+  leave : unit -> unit;
+  tick : unit -> unit;
+}
+
+let no_observer =
+  {
+    block = (fun ~proc:_ ~label:_ ~frame:_ ~iregs:_ -> ());
+    enter = ignore;
+    leave = ignore;
+    tick = ignore;
+  }
+
+(* State the compiled tier polls once per block: set once an observer is
+   installed.  Compiled closures capture this record and skip the observer
+   calls while it is false. *)
 type hot = { mutable hooks : bool }
 
 type t = {
@@ -50,23 +65,7 @@ type t = {
   max_instructions : int;
   mutable sp : int;
   mutable output_rev : output_item list;
-  (* Stack sampling (7.2 comparison): outermost-last while running. *)
-  mutable call_stack : string list;
-  mutable sample_interval : int;  (* 0 = off *)
-  mutable next_sample : int;
-  samples : (string list, int ref) Hashtbl.t;
-  (* Block-entry ring buffer for post-mortem diagnostics. *)
-  mutable trace : (string * int) array;  (* empty = off *)
-  mutable trace_next : int;
-  mutable trace_filled : bool;
-  (* Self-telemetry: periodic counter samples into a trace sink. *)
-  mutable telemetry : Pp_telemetry.Trace.t;
-  mutable tl_interval : int;  (* simulated cycles; 0 = off *)
-  mutable tl_next : int;
-  (* Block-entry probe for the abstract-interpretation soundness oracle. *)
-  mutable block_probe :
-    (proc:string -> label:int -> frame:int -> iregs:int array -> unit)
-    option;
+  mutable observer : observer;
   (* Sampled instrumentation: gates the path-commit pseudo-ops in
      [exec_prof], which both engines dispatch through. *)
   mutable sampling : Sampling.t option;
@@ -158,102 +157,34 @@ let create ?(config = Pp_machine.Config.default)
     max_instructions;
     sp = Layout.stack_base;
     output_rev = [];
-    call_stack = [];
-    sample_interval = 0;
-    next_sample = 0;
-    samples = Hashtbl.create 64;
-    trace = [||];
-    trace_next = 0;
-    trace_filled = false;
-    telemetry = Pp_telemetry.Trace.null;
-    tl_interval = 0;
-    tl_next = 0;
-    block_probe = None;
+    observer = no_observer;
     sampling = None;
     hot = { hooks = false };
   }
 
-let refresh_hot t =
-  t.hot.hooks <-
-    Array.length t.trace > 0
-    || (match t.block_probe with Some _ -> true | None -> false)
-    || t.sample_interval > 0 || t.tl_interval > 0
+(* The first observer is installed as is, so a lone observer costs one
+   indirect call per event; each later one is chained behind the
+   installed one. *)
+let observe t o =
+  let prev = t.observer in
+  t.observer <-
+    (if not t.hot.hooks then o
+     else
+       {
+         block =
+           (fun ~proc ~label ~frame ~iregs ->
+             prev.block ~proc ~label ~frame ~iregs;
+             o.block ~proc ~label ~frame ~iregs);
+         enter = (fun name -> prev.enter name; o.enter name);
+         leave = (fun () -> prev.leave (); o.leave ());
+         tick = (fun () -> prev.tick (); o.tick ());
+       });
+  t.hot.hooks <- true
 
-let set_block_probe t probe =
-  t.block_probe <- Some probe;
-  refresh_hot t
-
-(* No [refresh_hot]: the gate sits inside [exec_prof], not in the
-   per-block hooks, so the compiled tier needs no extra polling. *)
+(* No [hot] refresh: the gate sits inside [exec_prof], not in the
+   observer, so the compiled tier needs no extra polling. *)
 let set_sampling t s = t.sampling <- Some s
 let sampling t = t.sampling
-
-let enable_block_trace t ~capacity =
-  if capacity <= 0 then invalid_arg "Interp.enable_block_trace: capacity";
-  t.trace <- Array.make capacity ("", -1);
-  t.trace_next <- 0;
-  t.trace_filled <- false;
-  refresh_hot t
-
-let recent_blocks t =
-  let cap = Array.length t.trace in
-  if cap = 0 then []
-  else begin
-    let count = if t.trace_filled then cap else t.trace_next in
-    List.init count (fun i ->
-        t.trace.((t.trace_next - 1 - i + (2 * cap)) mod cap))
-  end
-
-let record_block t proc label =
-  let cap = Array.length t.trace in
-  if cap > 0 then begin
-    t.trace.(t.trace_next) <- (proc, label);
-    t.trace_next <- t.trace_next + 1;
-    if t.trace_next >= cap then begin
-      t.trace_next <- 0;
-      t.trace_filled <- true
-    end
-  end
-
-let enable_sampling t ~interval =
-  if interval <= 0 then invalid_arg "Interp.enable_sampling: interval <= 0";
-  t.sample_interval <- interval;
-  t.next_sample <- Machine.now t.machine + interval;
-  refresh_hot t
-
-let samples t =
-  Hashtbl.fold (fun k v acc -> (List.rev k, !v) :: acc) t.samples []
-  |> List.sort compare
-
-let take_samples t =
-  while t.sample_interval > 0 && Machine.now t.machine >= t.next_sample do
-    (match Hashtbl.find_opt t.samples t.call_stack with
-    | Some r -> incr r
-    | None -> Hashtbl.replace t.samples t.call_stack (ref 1));
-    t.next_sample <- t.next_sample + t.sample_interval
-  done
-
-let set_telemetry t ~trace ~interval =
-  if interval <= 0 then invalid_arg "Interp.set_telemetry: interval <= 0";
-  t.telemetry <- trace;
-  t.tl_interval <- interval;
-  t.tl_next <- Machine.now t.machine + interval;
-  refresh_hot t
-
-let take_telemetry t =
-  let now = Machine.now t.machine in
-  if now >= t.tl_next then begin
-    let counters = Machine.counters t.machine in
-    let pic0, pic1 = Counters.selection counters in
-    Pp_telemetry.Trace.counter t.telemetry "vm"
-      [
-        ("cycles", now);
-        ("instructions", Counters.total counters Event.Instructions);
-        (Event.name pic0, Counters.total counters pic0);
-        (Event.name pic1, Counters.total counters pic1);
-      ];
-    t.tl_next <- now + t.tl_interval
-  end
 
 let select_pics t ~pic0 ~pic1 =
   Counters.select (Machine.counters t.machine) ~pic0 ~pic1
@@ -335,15 +266,13 @@ let rec exec_proc t image ~iargs ~fargs =
   if fp < Layout.stack_limit then trap "stack overflow in %s" p.Proc.name;
   let saved_sp = t.sp in
   t.sp <- fp;
-  t.call_stack <- p.Proc.name :: t.call_stack;
+  if t.hot.hooks then t.observer.enter p.Proc.name;
   Machine.fp_frame t.machine ~nregs:(max nfregs 1);
   let mach = t.machine in
   let rec run_block label =
-    if Array.length t.trace > 0 then record_block t p.Proc.name label;
-    (match t.block_probe with
-    | None -> ()
-    | Some probe ->
-        probe ~proc:p.Proc.name ~label ~frame:(fp + linkage_bytes) ~iregs);
+    if t.hot.hooks then
+      t.observer.block ~proc:p.Proc.name ~label ~frame:(fp + linkage_bytes)
+        ~iregs;
     let code = image.code.(label) in
     let addrs = image.addrs.(label) in
     let n = Array.length code in
@@ -353,8 +282,7 @@ let rec exec_proc t image ~iargs ~fargs =
       exec_instr t image iregs fregs fp addr code.(idx)
     done;
     check_budget t;
-    if t.sample_interval > 0 then take_samples t;
-    if t.tl_interval > 0 then take_telemetry t;
+    if t.hot.hooks then t.observer.tick ();
     let taddr = image.term_addr.(label) in
     Machine.fetch mach ~addr:taddr;
     match (Proc.block p label).term with
@@ -371,9 +299,7 @@ let rec exec_proc t image ~iargs ~fargs =
   in
   let v = run_block p.Proc.entry in
   t.sp <- saved_sp;
-  (match t.call_stack with
-  | _ :: rest -> t.call_stack <- rest
-  | [] -> ());
+  if t.hot.hooks then t.observer.leave ();
   v
 
 and exec_instr t image iregs fregs fp addr instr =
@@ -554,7 +480,7 @@ let run t =
 (* ------------------------------------------------------------------ *)
 (* Engine internals: the shared-state surface Compile executes against.
    Both engines run over the same [t] — same layout, memory, machine,
-   runtime, hooks — so a compiled run perturbs and observes exactly what
+   runtime, observer — so a compiled run perturbs and observes exactly what
    an interpreted run does.                                            *)
 
 let images t = t.images
@@ -565,25 +491,15 @@ let max_instructions t = t.max_instructions
 let stack_pointer t = t.sp
 let set_stack_pointer t sp = t.sp <- sp
 let push_output t item = t.output_rev <- item :: t.output_rev
-let push_activation t name = t.call_stack <- name :: t.call_stack
-
-let pop_activation t =
-  match t.call_stack with
-  | _ :: rest -> t.call_stack <- rest
-  | [] -> ()
-
 let hot t = t.hot
+let observer t = t.observer
 
 let block_entered t ~proc ~label ~fp ~iregs =
-  if Array.length t.trace > 0 then record_block t proc label;
-  match t.block_probe with
-  | None -> ()
-  | Some probe -> probe ~proc ~label ~frame:(fp + linkage_bytes) ~iregs
+  t.observer.block ~proc ~label ~frame:(fp + linkage_bytes) ~iregs
 
 let block_epilogue t =
   check_budget t;
-  if t.sample_interval > 0 then take_samples t;
-  if t.tl_interval > 0 then take_telemetry t
+  if t.hot.hooks then t.observer.tick ()
 
 let dispatch_prof t ~proc ~op_addr ~fp ~iregs op =
   exec_prof t ~proc_name:proc ~op_addr ~fp iregs op

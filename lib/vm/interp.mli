@@ -45,46 +45,42 @@ val runtime : t -> Runtime.t
 val layout : t -> Pp_ir.Layout.t
 val program : t -> Pp_ir.Program.t
 
-(** {2 Execution tracing}
+(** {2 Observers}
 
-    A bounded ring of recently entered (procedure, block) pairs — cheap
-    enough to leave on, and the first thing to consult when a workload
-    traps. *)
+    Everything that watches a run without changing it — the stack sampler
+    ({!Stack_sampler}), periodic telemetry counter samples, the
+    prove/predict soundness oracles — is an observer: four callbacks the
+    VM invokes under either engine, in the same order and at the same
+    simulated cycle.  An observer sits outside the machine model: it
+    charges no events, and a run's results are byte-identical with or
+    without one.  Until the first {!observe}, no callback runs at all. *)
 
-(** Record the last [capacity] block entries.
-    @raise Invalid_argument if [capacity <= 0]. *)
-val enable_block_trace : t -> capacity:int -> unit
+type observer = {
+  block :
+    proc:string -> label:Pp_ir.Block.label -> frame:int -> iregs:int array ->
+    unit;
+      (** Every block entry, before the block's first fetch, with the
+          executing procedure, the block label, the activation's frame
+          base ([fp] plus linkage, i.e. the address [Frameaddr r, 0] would
+          produce) and the {e live} integer register array (do not
+          mutate). *)
+  enter : string -> unit;
+      (** A procedure activation begins ([main] included), after its
+          frame is allocated. *)
+  leave : unit -> unit;
+      (** The innermost activation returns.  A trap unwinds without
+          [leave] events. *)
+  tick : unit -> unit;
+      (** Every block end, after the instruction-budget check and before
+          the terminator's fetch; read {!machine} for the clock. *)
+}
 
-(** Most recent first; empty when tracing is off. *)
-val recent_blocks : t -> (string * Pp_ir.Block.label) list
+(** Four no-ops, to override with [{ no_observer with ... }]. *)
+val no_observer : observer
 
-(** {2 Self-telemetry}
-
-    Periodic counter samples ([ph:"C"] events named ["vm"]: cycles,
-    instructions and both selected PIC totals) into a
-    {!Pp_telemetry.Trace} sink, taken on block boundaries every
-    [interval] simulated cycles.  Off by default — the sink starts as
-    {!Pp_telemetry.Trace.null} and the sampling branch is guarded by the
-    interval, so an un-telemetered run does no extra work and its
-    results are byte-identical. *)
-
-(** Enable before {!run}.  @raise Invalid_argument if [interval <= 0]. *)
-val set_telemetry : t -> trace:Pp_telemetry.Trace.t -> interval:int -> unit
-
-(** {2 Stack sampling}
-
-    The Goldberg–Hall style comparison profiler of the paper's §7.2: every
-    [interval] simulated cycles the VM records the current call stack.
-    Sampling is approximate by construction (samples land on block
-    boundaries) and its data is unbounded (one bucket per distinct stack) —
-    the two drawbacks the paper holds against it. *)
-
-(** Enable before {!run}.  @raise Invalid_argument if [interval <= 0]. *)
-val enable_sampling : t -> interval:int -> unit
-
-(** Distinct sampled call stacks (outermost procedure first, [main]
-    included) with their hit counts; valid after {!run}. *)
-val samples : t -> (string list * int) list
+(** Install an observer before {!run}.  Observers compose: each event
+    reaches every installed observer, in installation order. *)
+val observe : t -> observer -> unit
 
 (** {2 Sampled instrumentation}
 
@@ -101,21 +97,6 @@ val set_sampling : t -> Sampling.t -> unit
 (** The installed controller, if any. *)
 val sampling : t -> Sampling.t option
 
-(** {2 Block-entry probe}
-
-    Invoked on every block entry with the executing procedure, block
-    label, the activation's frame base ([fp] plus linkage, i.e. the
-    address [Frameaddr r, 0] would produce) and the {e live} integer
-    register array (do not mutate).  The abstract-interpretation
-    soundness oracle uses it to check VM-observed register values against
-    derived intervals.  Off by default: an un-probed run takes one [None]
-    branch per block and is otherwise unchanged. *)
-val set_block_probe :
-  t ->
-  (proc:string -> label:Pp_ir.Block.label -> frame:int -> iregs:int array ->
-   unit) ->
-  unit
-
 (** Read back a path-counter global (the array-mode tables the instrumenter
     plants in the data segment): [read_table_cells t ~global ~index ~cells]
     returns the [cells] consecutive words at entry [index]. *)
@@ -127,7 +108,7 @@ val pp_output : Format.formatter -> output_item list -> unit
 
     The shared-state surface the closure-threaded {!Compile} engine
     executes against.  Both engines run over the same [t] — one layout,
-    memory image, machine model, runtime and hook set — which is what
+    memory image, machine model, runtime and observer — which is what
     makes their results bit-comparable.  Not intended for general use. *)
 
 (** Per-procedure execution image: per-block instruction arrays, the
@@ -166,28 +147,24 @@ val set_stack_pointer : t -> int -> unit
 (** Append one item to the program output. *)
 val push_output : t -> output_item -> unit
 
-(** Push/pop the sampled call stack on procedure entry/exit. *)
-val push_activation : t -> string -> unit
-
-val pop_activation : t -> unit
-
-(** A single flag covering every per-block hook (trace ring, block probe,
-    stack sampling, telemetry); maintained by the hook setters.  Compiled
-    blocks capture the record once and poll the field — while it is
-    [false], {!block_entered} is a no-op and {!block_epilogue} reduces to
-    the budget check, so both calls can be elided. *)
+(** Set by the first {!observe}.  Compiled blocks capture the record once
+    and poll the field — while it is [false], no observer event fires,
+    {!block_entered} is never called and {!block_epilogue} reduces to the
+    budget check, so both calls can be elided. *)
 type hot = private { mutable hooks : bool }
 
 val hot : t -> hot
 
-(** Block-entry bookkeeping: the trace ring and the block probe, in the
-    interpreter's order.  [fp] is the raw frame pointer (the probe sees
-    [fp + linkage_bytes]). *)
+(** The installed observer ({!no_observer} before any {!observe}). *)
+val observer : t -> observer
+
+(** The observer's [block] event.  [fp] is the raw frame pointer (the
+    observer sees [fp + linkage_bytes]). *)
 val block_entered :
   t -> proc:string -> label:Pp_ir.Block.label -> fp:int -> iregs:int array ->
   unit
 
-(** Block-end bookkeeping: budget check, stack sampling, telemetry —
+(** Block-end bookkeeping: the budget check, then the observer's [tick] —
     exactly what the interpreter runs between a block's last instruction
     and its terminator fetch.  @raise Trap when the budget is exhausted. *)
 val block_epilogue : t -> unit

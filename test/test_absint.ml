@@ -385,28 +385,29 @@ let oracle_run ~mode ~max_instructions wname =
     | exception _ -> None
   in
   let failure = ref None in
-  Interp.set_block_probe session.Driver.vm
-    (fun ~proc ~label ~frame ~iregs ->
-      if !failure = None then
-        match Hashtbl.find_opt analyses proc with
-        | None -> failure := Some (Printf.sprintf "unknown procedure %s" proc)
-        | Some t -> (
-            match Absint.entry_env t label with
-            | None ->
-                failure :=
-                  Some
-                    (Printf.sprintf "%s/L%d executed but unreached" proc label)
-            | Some env ->
-                Array.iteri
-                  (fun r x ->
-                    let v = Absint.ireg env r in
-                    if not (Absint.admits ~global_base ~frame v x) then
-                      failure :=
-                        Some
-                          (Format.asprintf
-                             "%s/L%d: r%d = %d outside derived %a" proc label
-                             r x Absint.pp_value v))
-                  iregs));
+  let block ~proc ~label ~frame ~iregs =
+    if !failure = None then
+      match Hashtbl.find_opt analyses proc with
+      | None -> failure := Some (Printf.sprintf "unknown procedure %s" proc)
+      | Some t -> (
+          match Absint.entry_env t label with
+          | None ->
+              failure :=
+                Some
+                  (Printf.sprintf "%s/L%d executed but unreached" proc label)
+          | Some env ->
+              Array.iteri
+                (fun r x ->
+                  let v = Absint.ireg env r in
+                  if not (Absint.admits ~global_base ~frame v x) then
+                    failure :=
+                      Some
+                        (Format.asprintf
+                           "%s/L%d: r%d = %d outside derived %a" proc label
+                           r x Absint.pp_value v))
+                iregs)
+  in
+  Interp.observe session.Driver.vm { Interp.no_observer with block };
   (* hitting the instruction budget is fine: every executed block was
      still checked *)
   (match Driver.run session with

@@ -1,6 +1,8 @@
-(* The VM's stack sampler (the 7.2 comparison profiler). *)
+(* The stack sampler (the 7.2 comparison profiler), on the default engine. *)
 
 module Interp = Pp_vm.Interp
+module Engine = Pp_vm.Engine
+module Stack_sampler = Pp_vm.Stack_sampler
 
 let src =
   {|
@@ -19,16 +21,18 @@ void main() {
 
 let run ~interval =
   let prog = Pp_minic.Compile.program ~name:"sampled" src in
-  let vm = Interp.create prog in
-  (match interval with
-  | Some i -> Interp.enable_sampling vm ~interval:i
-  | None -> ());
-  let r = Interp.run vm in
-  (vm, r)
+  let eng = Engine.create prog in
+  let sampler =
+    Option.map
+      (fun i -> Stack_sampler.create (Engine.vm eng) ~interval:i)
+      interval
+  in
+  let r = Engine.run eng in
+  (sampler, r)
 
 let test_sample_counts () =
-  let vm, r = run ~interval:(Some 1000) in
-  let samples = Interp.samples vm in
+  let sampler, r = run ~interval:(Some 1000) in
+  let samples = Stack_sampler.samples (Option.get sampler) in
   let total = List.fold_left (fun acc (_, n) -> acc + n) 0 samples in
   let expected = r.Interp.cycles / 1000 in
   Alcotest.(check bool)
@@ -46,8 +50,8 @@ let test_sampling_transparent () =
     (r1.Interp.output = r2.Interp.output)
 
 let test_sampling_shape () =
-  let vm, _ = run ~interval:(Some 200) in
-  let samples = Interp.samples vm in
+  let sampler, _ = run ~interval:(Some 200) in
+  let samples = Stack_sampler.samples (Option.get sampler) in
   (* Stacks are rooted at main. *)
   List.iter
     (fun (stack, _) ->
